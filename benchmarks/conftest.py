@@ -1,8 +1,10 @@
 """Shared fixtures for the experiment benchmarks (E1-E9 in DESIGN.md).
 
 Each experiment prints the rows/series the demo reports *and* appends them
-to ``benchmarks/out/<exp>.txt`` so the numbers in EXPERIMENTS.md can be
-regenerated with ``pytest benchmarks/ --benchmark-only -s``.
+to ``benchmarks/out/latest/<exp>.txt`` (gitignored) so the numbers in
+EXPERIMENTS.md can be regenerated with ``pytest benchmarks/ --benchmark-only
+-s``.  The committed ``benchmarks/out/<exp>.txt`` files are the recorded
+reference run; a test run never rewrites them.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ import pytest
 
 from repro.datasets import load_dataset
 
-OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
+OUT_DIR = os.path.join(os.path.dirname(__file__), "out", "latest")
 
 _SEEN: set[str] = set()
 
 
 def emit(exp_id: str, text: str) -> None:
-    """Print an experiment artifact and persist it under benchmarks/out/."""
+    """Print an experiment artifact and persist it under ``OUT_DIR``."""
     banner = f"\n===== {exp_id} =====\n"
     print(banner + text)
     os.makedirs(OUT_DIR, exist_ok=True)

@@ -1,4 +1,12 @@
 """Legacy setup shim: lets `pip install -e .` work offline (no wheel pkg)."""
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+    extras_require={
+        "test": ["pytest", "pytest-benchmark", "hypothesis", "scipy"],
+    },
+)

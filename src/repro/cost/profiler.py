@@ -151,9 +151,9 @@ def _profile_view(view: ViewDefinition, engine: QueryEngine) -> ViewProfile:
     dim_indexes = [columns[v] for v in dims]
     value_indexes = [i for v, i in columns.items() if v not in dims]
 
-    # Exact encoding footprint, mirroring the materializer: per group one
-    # view-link triple, one triple per *bound* dimension, one per bound
-    # stored value, one groupCount triple.
+    # Exact encoding footprint, mirroring materialize_view_from_table's
+    # §3.1 encoding: per group one view-link triple, one triple per
+    # *bound* dimension, one per bound stored value, one groupCount triple.
     triples = 0
     distinct_objects: set[Term] = set()
     dim_distinct: list[set[Term]] = [set() for _ in dim_indexes]

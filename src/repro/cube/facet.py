@@ -16,17 +16,21 @@ from typing import Optional
 from ..errors import FacetError
 from ..rdf.namespace import PrefixMap
 from ..rdf.terms import Variable
-from ..sparql.ast import AggregateExpr, GroupPattern, ProjectionItem, \
-    SelectQuery, VarExpr
+from ..sparql.ast import AggregateExpr, BindElement, GroupPattern, \
+    ProjectionItem, SelectQuery, VarExpr
 from ..sparql.parser import parse_query
 
-__all__ = ["AnalyticalFacet", "ROLLUP_AGGREGATES"]
+__all__ = ["AnalyticalFacet", "OPERAND_VAR", "ROLLUP_AGGREGATES"]
 
 #: Facet aggregates that can be re-aggregated from materialized groups.
 #: SUM/COUNT/MIN/MAX are distributive; AVG is algebraic and handled by
 #: materializing (SUM, COUNT) pairs.  DISTINCT aggregates are holistic and
 #: rejected.
 ROLLUP_AGGREGATES = frozenset({"SUM", "COUNT", "AVG", "MIN", "MAX"})
+
+#: Reserved variable an expression operand (``SUM(?v * 2)``) is bound to
+#: in :meth:`AnalyticalFacet.binding_query`.
+OPERAND_VAR = Variable("__operand")
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,9 @@ class AnalyticalFacet:
                 f"facet {self.name!r}: DISTINCT aggregates are holistic and "
                 "cannot be rolled up from materialized views")
         pattern_vars = self.pattern.variables()
+        if OPERAND_VAR in pattern_vars:
+            raise FacetError(
+                f"facet {self.name!r}: ?{OPERAND_VAR.name} is reserved")
         for var in self.grouping_variables:
             if var not in pattern_vars:
                 raise FacetError(
@@ -169,21 +176,42 @@ class AnalyticalFacet:
         return SelectQuery(projection=projection, where=self.pattern,
                            group_by=self.grouping_variables)
 
+    @property
+    def operand_variable(self) -> Optional[Variable]:
+        """The variable holding the aggregate's operand in
+        :meth:`binding_query` rows: None for ``COUNT(*)``, the measured
+        variable for a plain operand, :data:`OPERAND_VAR` otherwise."""
+        operand = self.aggregate.operand
+        if operand is None:
+            return None
+        if isinstance(operand, VarExpr):
+            return operand.var
+        return OPERAND_VAR
+
     def binding_query(self) -> SelectQuery:
         """The *unaggregated* pattern query: one row per binding of P.
 
         Its cardinality is the base-relation size the cost models compare
         views against, and its projection feeds the dimension-value domains
-        used by the workload generator.
+        used by the workload generator and the operand column the group
+        table folds.  An expression operand is evaluated per row by a
+        BIND onto :data:`OPERAND_VAR` appended to P (an erroring
+        expression leaves it unbound, as the aggregate would skip it).
         """
+        pattern = self.pattern
+        operand = self.aggregate.operand
         measure_vars: tuple[Variable, ...] = ()
-        if self.aggregate.operand is not None:
-            measure_vars = tuple(sorted(self.aggregate.operand.variables()))
+        if operand is not None:
+            measure_vars = tuple(sorted(operand.variables()))
+            if not isinstance(operand, VarExpr):
+                pattern = GroupPattern(
+                    pattern.elements + (BindElement(operand, OPERAND_VAR),))
+                measure_vars += (OPERAND_VAR,)
         projection = tuple(ProjectionItem(v) for v in
                            tuple(self.grouping_variables) + tuple(
                                v for v in measure_vars
                                if v not in self.grouping_variables))
-        return SelectQuery(projection=projection, where=self.pattern)
+        return SelectQuery(projection=projection, where=pattern)
 
     def __repr__(self) -> str:
         dims = ", ".join(f"?{v.name}" for v in self.grouping_variables)

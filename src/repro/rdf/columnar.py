@@ -17,12 +17,10 @@ of per-triple array shifting, while mutation results (dup/absent
 detection for changelog capture) stay exact via binary search against
 the base plus set lookups against the buffers.
 
-numpy, when importable, accelerates compaction (``lexsort``) and powers
-the bulk kernel API (``bulk_probe``/``bulk_exists``/``bulk_scan``) the
-batched executor's vectorized probe paths consume; without numpy the
-store falls back to pure-``bisect`` probes and stays exactly
-observationally equivalent (``use_numpy=False`` pins that path in
-tests).
+numpy does the compaction sort (``lexsort``) and powers the bulk kernel
+API (``bulk_probe``/``bulk_exists``/``bulk_scan``) the batched executor's
+vectorized probe paths consume; single-key point lookups stay scalar
+``bisect`` probes over the same columns.
 
 Layout cribs from the ordered-key-range design documented for RDF
 quad stores (cf. lakesuperior's indexing strategy notes): permutation
@@ -36,13 +34,10 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, Mapping, Optional
 
+import numpy as np
+
 from ..obs import metrics as _metrics
 from .store import TripleStore
-
-try:  # numpy is optional: the container may or may not ship it
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised via use_numpy=False
-    _numpy = None
 
 __all__ = ["ColumnarStore"]
 
@@ -70,6 +65,7 @@ class ColumnarStore(TripleStore):
     """Sorted permutation id-arrays with binary-search range probes."""
 
     kind = "columnar"
+    vectorized = True
 
     __slots__ = (
         "_spo_ab", "_spo_b", "_spo_c",
@@ -77,13 +73,10 @@ class ColumnarStore(TripleStore):
         "_osp_ab", "_osp_b", "_osp_c",
         "_v_spo", "_v_pos", "_v_osp",
         "_adds", "_dels", "_size", "_pred_counts",
-        "_np", "_pending_limit", "vectorized",
+        "_pending_limit",
     )
 
-    def __init__(self, use_numpy: bool = True,
-                 pending_limit: int = DEFAULT_PENDING_LIMIT) -> None:
-        self._np = _numpy if (use_numpy and _numpy is not None) else None
-        self.vectorized = self._np is not None
+    def __init__(self, pending_limit: int = DEFAULT_PENDING_LIMIT) -> None:
         self._pending_limit = pending_limit
         self._adds: set = set()
         self._dels: set = set()
@@ -98,14 +91,9 @@ class ColumnarStore(TripleStore):
         setattr(self, f"_{perm}_ab", ab)
         setattr(self, f"_{perm}_b", b)
         setattr(self, f"_{perm}_c", c)
-        np = self._np
-        if np is not None:
-            view = (np.frombuffer(ab, dtype=np.int64),
-                    np.frombuffer(b, dtype=np.int64),
-                    np.frombuffer(c, dtype=np.int64))
-        else:
-            view = None
-        setattr(self, f"_v_{perm}", view)
+        setattr(self, f"_v_{perm}", (np.frombuffer(ab, dtype=np.int64),
+                                     np.frombuffer(b, dtype=np.int64),
+                                     np.frombuffer(c, dtype=np.int64)))
 
     def _flush(self) -> None:
         if self._adds or self._dels:
@@ -203,10 +191,7 @@ class ColumnarStore(TripleStore):
 
     def _compact(self) -> None:
         pending = len(self._adds) + len(self._dels)
-        if self._np is not None:
-            self._compact_numpy()
-        else:
-            self._compact_python()
+        self._compact_numpy()
         self._adds = set()
         self._dels = set()
         if _REG.enabled:
@@ -214,7 +199,6 @@ class ColumnarStore(TripleStore):
             _COMPACT_PENDING.observe(pending)
 
     def _compact_numpy(self) -> None:
-        np = self._np
         n = len(self._spo_c)
         if n:
             ab, b, c = self._v_spo
@@ -250,38 +234,6 @@ class ColumnarStore(TripleStore):
             c_q.frombytes(c_s.tobytes())
             self._store_perm(perm, ab_q, b_q, c_q)
 
-    def _compact_python(self) -> None:
-        dels = self._dels
-        base = self._iter_base()
-        if dels:
-            triples = [t for t in base if t not in dels]
-        else:
-            triples = list(base)
-        triples.extend(self._adds)
-        for perm, key in (("spo", None),
-                          ("pos", lambda t: (t[1], t[2], t[0])),
-                          ("osp", lambda t: (t[2], t[0], t[1]))):
-            rows = sorted(triples) if key is None else sorted(triples, key=key)
-            ab_q = array("q")
-            b_q = array("q")
-            c_q = array("q")
-            if key is None:
-                for s, p, o in rows:
-                    ab_q.append((s << 32) | p)
-                    b_q.append(p)
-                    c_q.append(o)
-            elif perm == "pos":
-                for s, p, o in rows:
-                    ab_q.append((p << 32) | o)
-                    b_q.append(o)
-                    c_q.append(s)
-            else:
-                for s, p, o in rows:
-                    ab_q.append((o << 32) | s)
-                    b_q.append(s)
-                    c_q.append(p)
-            self._store_perm(perm, ab_q, b_q, c_q)
-
     def _iter_base(self) -> Iterator[tuple]:
         ab, b, c = self._spo_ab, self._spo_b, self._spo_c
         for i in range(len(c)):
@@ -311,15 +263,8 @@ class ColumnarStore(TripleStore):
 
     def snapshot_ids(self) -> list:
         self._flush()
-        if self._np is not None:
-            ab, b, c = self._v_spo
-            return list(zip((ab >> 32).tolist(), b.tolist(), c.tolist()))
-        return list(self._iter_base())
-
-    def _slice(self, col, lo: int, hi: int) -> list:
-        if self._np is None:
-            return col[lo:hi].tolist()
-        return col[lo:hi].tolist()
+        ab, b, c = self._v_spo
+        return list(zip((ab >> 32).tolist(), b.tolist(), c.tolist()))
 
     def match_ids(self, sid: Optional[int], pid: Optional[int],
                   oid: Optional[int]) -> Iterator[tuple]:
@@ -462,55 +407,32 @@ class ColumnarStore(TripleStore):
         return self._distinct_a("osp")
 
     def _distinct_a(self, perm: str) -> list:
-        if self._np is not None:
-            ab = getattr(self, f"_v_{perm}")[0]
-            if not len(ab):
-                return []
-            np = self._np
-            a = ab >> 32
-            keep = np.empty(len(a), dtype=bool)
-            keep[0] = True
-            np.not_equal(a[1:], a[:-1], out=keep[1:])
-            return a[keep].tolist()
-        ab = getattr(self, f"_{perm}_ab")
-        out: list = []
-        last = None
-        for packed in ab:
-            a = packed >> 32
-            if a != last:
-                out.append(a)
-                last = a
-        return out
+        ab = getattr(self, f"_v_{perm}")[0]
+        if not len(ab):
+            return []
+        a = ab >> 32
+        keep = np.empty(len(a), dtype=bool)
+        keep[0] = True
+        np.not_equal(a[1:], a[:-1], out=keep[1:])
+        return a[keep].tolist()
 
     def predicate_stats(self) -> Iterator[tuple]:
         self._flush()
-        ab, b, c = self._pos_ab, self._pos_b, self._pos_c
-        np = self._np
+        _, bv, cv = self._v_pos
         for pid in self._distinct_a("pos"):
-            lo, hi = self._a_range(ab, pid)
+            lo, hi = self._a_range(self._pos_ab, pid)
             triples = hi - lo
-            if np is not None:
-                _, bv, cv = self._v_pos
-                run_b = bv[lo:hi]
-                distinct_objects = 1 + int(
-                    (run_b[1:] != run_b[:-1]).sum()) if triples else 0
-                distinct_subjects = int(np.unique(cv[lo:hi]).size)
-            else:
-                distinct_objects = 0
-                last = None
-                for i in range(lo, hi):
-                    if b[i] != last:
-                        distinct_objects += 1
-                        last = b[i]
-                distinct_subjects = len({c[i] for i in range(lo, hi)})
+            run_b = bv[lo:hi]
+            distinct_objects = 1 + int(
+                (run_b[1:] != run_b[:-1]).sum()) if triples else 0
+            distinct_subjects = int(np.unique(cv[lo:hi]).size)
             yield (pid, triples, distinct_subjects, distinct_objects)
 
     # -- lifecycle ----------------------------------------------------------
 
     def copy(self) -> "ColumnarStore":
         self._flush()
-        clone = ColumnarStore(use_numpy=self._np is not None,
-                              pending_limit=self._pending_limit)
+        clone = ColumnarStore(pending_limit=self._pending_limit)
         for perm in _PERMS:
             clone._store_perm(perm,
                               getattr(self, f"_{perm}_ab")[:],
@@ -529,7 +451,7 @@ class ColumnarStore(TripleStore):
                 total += sys.getsizeof(arr)
         return total
 
-    # -- bulk kernel API (numpy only; gated by .vectorized) -----------------
+    # -- bulk kernel API ----------------------------------------------------
 
     def bulk_probe(self, bound_positions: tuple, const_ids: tuple, key_cols):
         """Range-probe sorted runs for a whole batch of keys at once.
@@ -542,7 +464,6 @@ class ColumnarStore(TripleStore):
         global indices in ``[starts[i], ends[i])``.
         """
         self._flush()
-        np = self._np
         if len(bound_positions) == 1:
             bp = bound_positions[0]
             keys = key_cols[0]
@@ -599,7 +520,6 @@ class ColumnarStore(TripleStore):
     def bulk_exists(self, key_pos: int, const_ids: tuple, keys):
         """Membership mask for fully-grounding probes (two constants)."""
         self._flush()
-        np = self._np
         sid, pid, oid = const_ids
         if key_pos == 0:
             ab, _, c = self._v_pos

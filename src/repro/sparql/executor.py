@@ -37,6 +37,8 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Callable, Iterator, Optional
 
+import numpy as np
+
 from ..errors import ExpressionError, QueryEvaluationError
 from ..obs import metrics as _metrics
 from ..obs import tracing as _tracing
@@ -53,11 +55,6 @@ from .ast import AggregateExpr, AndExpr, ArithExpr, CompareExpr, ExistsExpr, \
 from .batch import BindingBatch, dedup_rows
 from .expr import EvalContext, evaluate, evaluate_ebv
 from .values import numeric_result, order_key, to_number
-
-try:  # the vectorized probe paths want numpy, but never require it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 __all__ = ["Executor"]
 
@@ -114,9 +111,8 @@ class Executor:
         self._graph = graph
         self._dict = graph.dictionary
         # Vectorized probe/fold paths: only when the storage backend
-        # exposes the bulk kernel API (columnar) and numpy is importable.
-        self._vec = bool(_np is not None
-                         and getattr(graph.store, "vectorized", False))
+        # exposes the bulk kernel API (columnar).
+        self._vec = graph.store.vectorized
         # Overlay interning for query-computed terms: ids -1, -2, ...
         self._extra_by_term: dict[Term, int] = {}
         self._extra_by_id: list[Term] = []
@@ -567,7 +563,6 @@ class Executor:
         Clean int columns gather in C; holey ones (None from OPTIONAL
         upstream) fall back to the python loop per column.
         """
-        np = _np
         idx = None
         out_cols = []
         for col in columns:
@@ -601,7 +596,6 @@ class Executor:
         gather straight out of the store's sorted columns.  Returns
         ``None`` when the shape is outside the kernels' reach.
         """
-        np = _np
         store = self._graph.store
         nb = len(bound_positions)
         nc = len(const_positions)
@@ -1040,7 +1034,6 @@ class Executor:
         the key column holds unbound rows (the dict loop owns None
         groups) or vectorization is off.
         """
-        np = _np
         if not self._vec or not n:
             return None
         try:
@@ -1065,7 +1058,6 @@ class Executor:
         lexsort + run detection instead of n tuple hashes.  ``None``
         anywhere (missing key column or unbound row) falls back.
         """
-        np = _np
         if not self._vec or not n or not cols \
                 or any(c is None for c in cols):
             return None
@@ -1103,7 +1095,6 @@ class Executor:
         Like :meth:`_group_single` but skips materializing member lists;
         group tables folding pure row counts only need the histogram.
         """
-        np = _np
         if not self._vec or not n:
             return None
         try:
@@ -1128,7 +1119,6 @@ class Executor:
         big enough that float64 accumulation could round — the scalar
         path keeps exact poisoning and arbitrary-precision semantics).
         """
-        np = _np
         n = len(fast_col)
         if not n:
             return None

@@ -22,16 +22,11 @@ from ..rdf.graph import Graph
 from ..cube.facet import AnalyticalFacet
 from ..cube.lattice import ViewLattice
 from ..cube.view import ViewDefinition
-from ..sparql.ast import VarExpr
 from ..sparql.grouptable import KIND_BY_AGGREGATE
 from ..sparql.engine import QueryEngine
-from .materializer import MaterializationStats, materialize_view, \
-    materialize_view_from_table
+from .materializer import materialize_view_from_table
 
 __all__ = ["MaterializedView", "ViewCatalog"]
-
-#: Sentinel: a facet whose aggregate cannot be derived from a group table.
-_UNSUPPORTED = object()
 
 _LOG = get_logger("views.catalog")
 _REG = _metrics.registry()
@@ -87,10 +82,18 @@ class MaterializedView:
 
 
 class ViewCatalog:
-    """Materialized views of one facet, stored as named graphs of a dataset."""
+    """Materialized views of one facet, stored as named graphs of a dataset.
+
+    Views are written id-natively, so ``engine`` must run over a graph
+    sharing the dataset's term dictionary (its default graph, usually).
+    """
 
     def __init__(self, dataset: Dataset, engine: QueryEngine | None = None
                  ) -> None:
+        if engine is not None and \
+                engine.graph.dictionary is not dataset.dictionary:
+            raise ViewError("the catalog's engine must share the dataset's "
+                            "term dictionary")
         self._dataset = dataset
         self._engine = engine if engine is not None \
             else QueryEngine(dataset.default)
@@ -129,24 +132,9 @@ class ViewCatalog:
     # -- mutation ----------------------------------------------------------
 
     def materialize(self, view: ViewDefinition) -> MaterializedView:
-        """Build one view into its named graph and register it."""
-        if view.mask in self._entries:
-            raise ViewError(f"view {view.label!r} is already materialized")
-        fail_at("catalog.materialize.view")
-        target = self._dataset.graph(view.iri)
-        stats: MaterializationStats = materialize_view(
-            view, self._engine, target)
-        entry = MaterializedView(
-            definition=view,
-            groups=stats.groups,
-            triples=stats.triples,
-            nodes=stats.nodes,
-            build_seconds=stats.build_seconds,
-            base_version=self._engine.graph.version,
-        )
-        self._entries[view.mask] = entry
-        _MATERIALIZED.inc()
-        return entry
+        """Build one view into its named graph and register it (a
+        one-view :meth:`materialize_all` batch)."""
+        return self.materialize_all([view])[0]
 
     def materialize_all(self, views: Iterable[ViewDefinition]
                         ) -> list[MaterializedView]:
@@ -156,8 +144,7 @@ class ViewCatalog:
         facet's batch evaluates its pattern **once** into an id-space
         group table at the union grain and derives every view from that
         table — or from the smallest already-built ancestor, chosen via
-        :meth:`ViewLattice.cheapest_source` with actual group counts
-        (facets outside the rollup class fall back to per-view builds).
+        :meth:`ViewLattice.cheapest_source` with actual group counts.
 
         The batch is atomic at the catalog level: if any view fails to
         materialize, every view the batch already built is dropped
@@ -208,26 +195,7 @@ class ViewCatalog:
         for view in batch:
             by_facet.setdefault(view.facet, []).append(view)
         for facet, group in by_facet.items():
-            if self._rollup_operand(facet) is not _UNSUPPORTED:
-                self._materialize_rollup(facet, group, built)
-            else:
-                for view in group:
-                    built.append(self.materialize(view))
-
-    def _rollup_operand(self, facet: AnalyticalFacet):
-        """The facet's measured variable (or None for COUNT(*)), or the
-        ``_UNSUPPORTED`` sentinel when the facet is outside the rollup
-        class: expression operands cannot be re-aggregated from a group
-        table, and a foreign-dictionary dataset cannot take id-native
-        writes."""
-        if self._dataset.dictionary is not self._engine.graph.dictionary:
-            return _UNSUPPORTED
-        operand = facet.aggregate.operand
-        if operand is None:
-            return None
-        if isinstance(operand, VarExpr):
-            return operand.var
-        return _UNSUPPORTED
+            self._materialize_rollup(facet, group, built)
 
     def _materialize_rollup(self, facet: AnalyticalFacet,
                             group: list[ViewDefinition],
@@ -236,7 +204,6 @@ class ViewCatalog:
         plan = ViewLattice.rollup_plan(v.mask for v in group)
         engine = self._engine
         executor = engine.executor
-        operand = self._rollup_operand(facet)
         kind = KIND_BY_AGGREGATE[facet.aggregate.name]
 
         with _TRACER.span("catalog.rollup_scan", facet=facet.name) as sp:
@@ -244,7 +211,8 @@ class ViewCatalog:
             prepared = engine.prepare(facet.binding_query())
             table = executor.group_table(
                 prepared.plan, facet.mask_variables(plan.table_mask),
-                operand, kind, keep_max=facet.aggregate.name == "MAX")
+                facet.operand_variable, kind,
+                keep_max=facet.aggregate.name == "MAX")
             scan_seconds = time.perf_counter() - scan_start
             sp.set_tags(groups=len(table), views=len(group))
 
@@ -407,52 +375,22 @@ class ViewCatalog:
         error propagates: the catalog never serves a half-built graph.
         A successful rebuild lifts any quarantine on the view.
         """
-        if view.mask not in self._entries:
+        entry = self._entries.get(view.mask)
+        if entry is None:
             raise ViewError(f"view {view.label!r} is not materialized")
         fail_at("catalog.refresh")
-        target = self._dataset.graph(view.iri)
-        previous = self._entries[view.mask]
-        snapshot = target.snapshot_ids()
-        target.clear()
-        del self._entries[view.mask]
-        # The rebuild mints fresh group nodes; any restored group index
-        # for this view now references dropped ids and must not be adopted.
-        self.restored_group_indexes.pop(view.mask, None)
-        try:
-            with _TRACER.span("catalog.refresh", view=view.label):
-                stats = materialize_view(view, self._engine, target)
-        except BaseException:
-            with suppressed():
-                target.clear()
-                if snapshot:
-                    target.add_ids_bulk(snapshot)
-            self._entries[view.mask] = previous
-            raise
-        entry = MaterializedView(
-            definition=view,
-            groups=stats.groups,
-            triples=stats.triples,
-            nodes=stats.nodes,
-            build_seconds=stats.build_seconds,
-            base_version=self._engine.graph.version,
-        )
-        self._entries[view.mask] = entry
-        self._quarantined.pop(view.mask, None)
+        with _TRACER.span("catalog.refresh", view=view.label):
+            refreshed = self._rebuild([entry])
         _REFRESHES.inc()
-        return entry
+        return refreshed[0]
 
     def refresh_stale(self) -> list[MaterializedView]:
         """Rebuild every stale or quarantined view as one batch, atomically.
 
-        Pending view graphs are cleared *in place* (holders of the graph
-        objects observe the fresh data, exactly like :meth:`refresh`),
-        then rebuilt together through :meth:`materialize_all` — one
+        Like :meth:`refresh`, but for all pending views at once: one
         shared scan per facet instead of one per view.  Returns the
-        refreshed entries.  On a mid-batch failure every affected view is
-        restored from its pre-refresh snapshot (content and catalog
-        entry) before the error propagates, so a failed batch leaves the
-        catalog exactly as it found it; a successful one lifts all
-        quarantines on the rebuilt views.
+        refreshed entries; a failed batch leaves the catalog exactly as
+        it found it.
         """
         fail_at("catalog.refresh_stale")
         current = self._engine.graph.version
@@ -461,20 +399,27 @@ class ViewCatalog:
                    or entry.mask in self._quarantined]
         if not pending:
             return []
-        views: list[ViewDefinition] = []
+        with _TRACER.span("catalog.refresh_stale", views=len(pending)):
+            return self._rebuild(pending)
+
+    def _rebuild(self, entries: list[MaterializedView]
+                 ) -> list[MaterializedView]:
+        """Clear the entries' graphs in place and rebuild them as one
+        :meth:`materialize_all` batch, restoring every graph and entry
+        from its id-space snapshot if the batch fails.  The rebuild
+        mints fresh group nodes, so old restored group indexes are
+        dropped (the batch deposits fresh ones); success lifts any
+        quarantine."""
         snapshots: list[tuple[MaterializedView, Graph,
                               list[tuple[int, int, int]]]] = []
-        for entry in pending:
-            view = entry.definition
-            graph = self._dataset.graph(view.iri)
+        for entry in entries:
+            graph = self._dataset.graph(entry.definition.iri)
             snapshots.append((entry, graph, graph.snapshot_ids()))
             graph.clear()
-            del self._entries[view.mask]
-            self.restored_group_indexes.pop(view.mask, None)
-            views.append(view)
+            del self._entries[entry.mask]
+            self.restored_group_indexes.pop(entry.mask, None)
         try:
-            with _TRACER.span("catalog.refresh_stale", views=len(views)):
-                refreshed = self.materialize_all(views)
+            refreshed = self.materialize_all(e.definition for e in entries)
         except BaseException:
             with suppressed():
                 for entry, graph, snapshot in snapshots:
@@ -483,8 +428,8 @@ class ViewCatalog:
                         graph.add_ids_bulk(snapshot)
                     self._entries[entry.mask] = entry
             raise
-        for view in views:
-            self._quarantined.pop(view.mask, None)
+        for entry in entries:
+            self._quarantined.pop(entry.mask, None)
         return refreshed
 
     # -- storage accounting -------------------------------------------------------

@@ -526,9 +526,10 @@ class ViewMaintainer:
         index = self._indexes.get(view.mask)
         expected = aggregate_kind(view.facet.aggregate.name)
         if index is None or index.kind != expected:
-            # Rollup (re)builds deposit the freshly-encoded group index
-            # on the catalog; adopting it (consuming, like construction
-            # does) saves the view-graph scan.  Anything else re-scans.
+            # Every catalog (re)build — including this maintainer's own
+            # fallback refreshes — deposits the freshly-encoded group
+            # index; adopting it (consuming, like construction does)
+            # saves the view-graph scan.  Anything else re-scans.
             restored = self._catalog.restored_group_indexes.pop(
                 view.mask, None)
             if isinstance(restored, GroupIndex) and restored.kind == expected:

@@ -14,6 +14,10 @@ node* carrying:
 
 The union of the base graph and these view graphs is the expanded graph
 ``G+`` of the paper.
+
+Every view is encoded from a :class:`~repro.sparql.grouptable.GroupTable`
+— the single scan of the facet pattern that coarser views roll up from —
+so one encoder serves first builds, refreshes and maintenance rebuilds.
 """
 
 from __future__ import annotations
@@ -25,13 +29,12 @@ from ..errors import ViewError
 from ..rdf.graph import Graph
 from ..rdf.namespace import SOFOS
 from ..rdf.terms import IRI, BlankNode, Literal, Variable, typed_literal
-from ..rdf.triples import Triple
-from ..cube.view import COUNT_VAR, MEASURE_VAR, SUM_VAR, ViewDefinition
+from ..cube.view import ViewDefinition
 from ..sparql.engine import QueryEngine
 from ..sparql.grouptable import GroupEntry, GroupTable, KIND_COUNT, KIND_SUM
 from ..sparql.values import numeric_result
 
-__all__ = ["MaterializationStats", "dimension_predicate", "materialize_view",
+__all__ = ["MaterializationStats", "dimension_predicate",
            "materialize_view_from_table"]
 
 
@@ -56,102 +59,6 @@ class MaterializationStats:
                 f"{self.build_seconds * 1000:.1f} ms")
 
 
-def materialize_view(view: ViewDefinition, engine: QueryEngine,
-                     target: Graph) -> MaterializationStats:
-    """Evaluate the view query on ``engine`` and encode results in ``target``.
-
-    ``target`` should be the view's named graph inside the dataset holding
-    the expanded graph G+.  Returns exact statistics (the triple count per
-    group matches :meth:`ViewDefinition.triples_per_group` whenever all
-    dimension values are bound).
-    """
-    if len(target):
-        raise ViewError(
-            f"target graph for view {view.label!r} is not empty; drop it "
-            "before re-materializing")
-    start = time.perf_counter()
-
-    is_avg = view.facet.aggregate.name == "AVG"
-    value_var = SUM_VAR if is_avg else MEASURE_VAR
-    value_pred = SOFOS.sum if is_avg else SOFOS.measure
-
-    if target.dictionary is engine.graph.dictionary:
-        groups, triples_added = _materialize_ids(
-            view, engine, target, value_var, value_pred)
-    else:
-        groups, triples_added = _materialize_terms(
-            view, engine, target, value_var, value_pred)
-
-    elapsed = time.perf_counter() - start
-    return MaterializationStats(
-        view=view,
-        groups=groups,
-        triples=triples_added,
-        nodes=target.node_count(),
-        build_seconds=elapsed,
-    )
-
-
-def _materialize_ids(view: ViewDefinition, engine: QueryEngine,
-                     target: Graph, value_var: Variable,
-                     value_pred: IRI) -> tuple[int, int]:
-    """Id-native encoding: the view query's result batch is written into
-    the target graph without a decode→re-encode round trip.
-
-    Only dimension/measure ids computed at query time (negative overlay
-    ids, e.g. a SUM the base graph never stored) cross the term boundary,
-    via one ``encode`` each; everything else is moved as raw ids.  Requires
-    the target to share the engine graph's dictionary (the dataset's named
-    view graphs always do).
-    """
-    variables, batch = engine.query_ids(view.materialization_query())
-    executor = engine.executor
-    dictionary = target.dictionary
-    encode = dictionary.encode
-    decode_query_id = executor.decode_id
-    columns = {v: k for k, v in enumerate(batch.variables)}
-
-    def column(var: Variable) -> list:
-        k = columns.get(var)
-        return batch.columns[k] if k is not None else [None] * len(batch)
-
-    dim_cols = [(encode(dimension_predicate(v)), column(v))
-                for v in view.variables]
-    value_col = column(value_var)
-    count_col = column(COUNT_VAR)
-    view_pred_id = encode(SOFOS.view)
-    view_iri_id = encode(view.iri)
-    value_pred_id = encode(value_pred)
-    count_pred_id = encode(SOFOS.groupCount)
-    zero_count_id = encode(typed_literal(0))
-
-    def target_id(tid: int) -> int:
-        # Overlay ids are private to the executor; intern the term.
-        return tid if tid >= 0 else encode(decode_query_id(tid))
-
-    id_triples: list[tuple[int, int, int]] = []
-    for row in range(len(batch)):
-        node_id = encode(BlankNode.fresh(f"v{view.mask}g"))
-        id_triples.append((node_id, view_pred_id, view_iri_id))
-        for pred_id, col in dim_cols:
-            tid = col[row]
-            if tid is not None:
-                id_triples.append((node_id, pred_id, target_id(tid)))
-        measure_id = value_col[row]
-        if measure_id is not None:
-            if not isinstance(decode_query_id(measure_id), Literal):
-                raise ViewError(
-                    f"view {view.label!r} produced a non-literal aggregate "
-                    f"{decode_query_id(measure_id)!r} in group {row}")
-            id_triples.append((node_id, value_pred_id,
-                               target_id(measure_id)))
-        count_id = count_col[row]
-        id_triples.append((node_id, count_pred_id,
-                           zero_count_id if count_id is None
-                           else target_id(count_id)))
-    return len(batch), target.add_ids_bulk(id_triples)
-
-
 def materialize_view_from_table(view: ViewDefinition, engine: QueryEngine,
                                 target: Graph, table: GroupTable
                                 ) -> tuple[MaterializationStats, object]:
@@ -159,10 +66,11 @@ def materialize_view_from_table(view: ViewDefinition, engine: QueryEngine,
 
     The table must come from ``engine``'s executor and cover the view's
     grouping variables; when finer, it is rolled up first.  Encoding is
-    id-native like :func:`materialize_view`'s fast path and reproduces
-    its triples exactly: same dimension/measure/count literals, same
-    poison semantics (no measure triple when the aggregate errors), and
-    the apex's implicit empty group when the table is empty.
+    id-native — only query-computed overlay ids cross the term boundary —
+    and reproduces the triples the view's materialization query implies:
+    same dimension/measure/count literals, same poison semantics (no
+    measure triple when the aggregate errors), and the apex's implicit
+    empty group when the table is empty.
 
     Returns the stats plus the view's freshly built
     :class:`~repro.views.maintenance.GroupIndex` (or None when a group
@@ -177,8 +85,8 @@ def materialize_view_from_table(view: ViewDefinition, engine: QueryEngine,
             "before re-materializing")
     if target.dictionary is not engine.graph.dictionary:
         raise ViewError(
-            f"rollup materialization of view {view.label!r} needs the "
-            "target to share the engine graph's dictionary")
+            f"materializing view {view.label!r} needs the target to share "
+            "the engine graph's dictionary")
     start = time.perf_counter()
 
     if table.variables != view.variables:
@@ -285,37 +193,3 @@ def materialize_view_from_table(view: ViewDefinition, engine: QueryEngine,
         build_seconds=time.perf_counter() - start,
     )
     return stats, (index if maintainable else None)
-
-
-def _materialize_terms(view: ViewDefinition, engine: QueryEngine,
-                       target: Graph, value_var: Variable,
-                       value_pred: IRI) -> tuple[int, int]:
-    """Term-level fallback for targets with a foreign dictionary."""
-    table = engine.query(view.materialization_query())
-    columns = {v: i for i, v in enumerate(table.variables)}
-    dim_index = [(dimension_predicate(v), columns[v]) for v in view.variables]
-    value_index = columns[value_var]
-    count_index = columns[COUNT_VAR]
-
-    triples_added = 0
-    for row_number, row in enumerate(table.rows):
-        node = BlankNode.fresh(f"v{view.mask}g")
-        if target.add(Triple(node, SOFOS.view, view.iri)):
-            triples_added += 1
-        for predicate, idx in dim_index:
-            value = row[idx]
-            if value is not None and target.add(Triple(node, predicate, value)):
-                triples_added += 1
-        measure = row[value_index]
-        if measure is not None:
-            if not isinstance(measure, Literal):
-                raise ViewError(
-                    f"view {view.label!r} produced a non-literal aggregate "
-                    f"{measure!r} in group {row_number}")
-            if target.add(Triple(node, value_pred, measure)):
-                triples_added += 1
-        count = row[count_index]
-        if target.add(Triple(node, SOFOS.groupCount,
-                             count if count is not None else typed_literal(0))):
-            triples_added += 1
-    return len(table), triples_added

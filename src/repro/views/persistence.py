@@ -397,15 +397,17 @@ def _load_expanded(directory: str, facet: AnalyticalFacet, *,
         for item in view_items:
             definition = _definition(item)
             graph = dataset.get_graph(definition.iri)
+            # A view with no groups saves no quads, so no graph comes
+            # back for it; only a missing graph that had triples is lost.
+            lost = graph is None and int(item["triples"]) != 0
             failed = not base_verified \
-                or definition.iri.value in mismatched \
-                or graph is None
+                or definition.iri.value in mismatched or lost
+            if lost and not recover:
+                raise ViewError(
+                    f"manifest lists view {item['label']!r} but the "
+                    "dataset file has no graph named "
+                    + definition.iri.value)
             if graph is None:
-                if not recover:
-                    raise ViewError(
-                        f"manifest lists view {item['label']!r} but the "
-                        "dataset file has no graph named "
-                        + definition.iri.value)
                 graph = dataset.graph(definition.iri)
             if failed and recover:
                 # Content is untrusted: drop it and queue a rebuild.

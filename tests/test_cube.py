@@ -39,6 +39,12 @@ class TestFacetConstruction:
         assert "holistic" in str(err.value).lower() or "DISTINCT" in \
             str(err.value)
 
+    def test_rejects_reserved_operand_variable(self):
+        with pytest.raises(FacetError):
+            AnalyticalFacet.from_query("f", """
+                SELECT ?s (SUM(?__operand * 2) AS ?x)
+                WHERE { ?s <http://x/p> ?__operand . } GROUP BY ?s""")
+
     def test_rejects_composite_aggregate_expression(self):
         with pytest.raises(FacetError):
             AnalyticalFacet.from_query("f", """

@@ -116,6 +116,23 @@ class TestExpandedPersistence:
         with pytest.raises(ViewError):
             load_expanded(str(tmp_path / "nowhere"), population_facet)
 
+    def test_empty_view_round_trip(self, tmp_path, population_facet):
+        """A view with zero groups saves no quads; it must load back as
+        an empty, fresh view rather than as a missing graph."""
+        from repro.cube import ViewLattice
+        from repro.rdf import Graph
+        from repro.views import ViewCatalog
+        lattice = ViewLattice(population_facet)
+        catalog = ViewCatalog(Dataset.wrap(Graph()))
+        catalog.materialize_all([lattice.finest, lattice.apex])
+        assert catalog.get(lattice.finest).triples == 0
+        save_expanded(catalog, str(tmp_path))
+        _dataset, loaded = load_expanded(str(tmp_path), population_facet)
+        assert [(e.mask, e.groups, e.triples) for e in loaded] == \
+            [(e.mask, e.groups, e.triples) for e in catalog]
+        assert len(loaded.graph_of(lattice.finest)) == 0
+        assert loaded.stale_views() == []
+
     def test_manifest_graph_mismatch_rejected(self, saved):
         import json
         tmp_path, facet, selection, catalog = saved

@@ -3,9 +3,10 @@
 The contract under test: a view built by the shared-scan rollup path
 (``ViewCatalog.materialize_all`` → group table → ``project`` →
 ``materialize_view_from_table``) is **triple-for-triple identical** — up
-to blank-node labels — to one built by running its materialization query
-per view, and both agree with the seed tuple-at-a-time
-:class:`ReferenceExecutor`.  Around that core: the lattice's
+to blank-node labels — to one built alone (``materialize``, a one-view
+batch scanning at the view's own grain), and both agree with the seed
+tuple-at-a-time :class:`ReferenceExecutor` running the view's
+materialization query.  Around that core: the lattice's
 cheapest-ancestor planner, batch atomicity (rollback on mid-batch
 failure), iterable acceptance, group-index seeding of incremental
 maintenance, and the router's upkeep-history tie-break.
@@ -60,6 +61,16 @@ SELECT ?a ?b ({agg}(?v) AS ?m) WHERE {{
 }} GROUP BY ?a ?b
 """
 
+#: An expression operand over the OPTIONAL data: obs9's unbound ?v makes
+#: the expression error, which the aggregate must treat like SPARQL does.
+EXPRESSION_TEMPLATE = """
+PREFIX ex: <http://example.org/>
+SELECT ?a ?b ({agg}(?v * 2) AS ?m) WHERE {{
+  ?o ex:a ?a ; ex:b ?b .
+  OPTIONAL {{ ?o ex:v ?v }}
+}} GROUP BY ?a ?b
+"""
+
 
 def agg_facet(agg: str, template: str = BGP_TEMPLATE) -> AnalyticalFacet:
     return AnalyticalFacet.from_query(f"agg_{agg.lower()}",
@@ -106,7 +117,8 @@ def reference_signatures(view, graph: Graph) -> dict:
 
 
 def build_both(graph: Graph, facet: AnalyticalFacet):
-    """(rollup catalog, per-view catalog, lattice) over copies of a graph."""
+    """(whole-lattice batch catalog, one-view-at-a-time catalog, lattice)
+    over copies of a graph."""
     lattice = ViewLattice(facet)
     rolled = ViewCatalog(Dataset.wrap(graph.copy()))
     direct = ViewCatalog(Dataset.wrap(graph.copy()))
@@ -118,8 +130,9 @@ def build_both(graph: Graph, facet: AnalyticalFacet):
 
 class TestRollupParity:
     @pytest.mark.parametrize("agg", AGGREGATES)
-    @pytest.mark.parametrize("template", [BGP_TEMPLATE, OPTIONAL_TEMPLATE],
-                             ids=["bgp", "optional"])
+    @pytest.mark.parametrize("template", [BGP_TEMPLATE, OPTIONAL_TEMPLATE,
+                                          EXPRESSION_TEMPLATE],
+                             ids=["bgp", "optional", "expression"])
     def test_all_aggregates_match_direct_and_reference(self, agg, template):
         graph = parse_turtle(AGG_TTL)
         facet = agg_facet(agg, template)
@@ -320,6 +333,52 @@ class TestMaintainerSeeding:
         assert not report.rebuilt
         for view in lattice:
             rebuild.refresh(view)
+            assert group_signatures(catalog.graph_of(view)) == \
+                group_signatures(rebuild.graph_of(view)), view.label
+
+
+    def test_patch_after_fallback_rebuild_needs_no_rescan(
+            self, population_facet, monkeypatch):
+        """A maintainer's fallback rebuild (``catalog.refresh``) deposits
+        the rebuilt view's group index, so the next window patches
+        without ever scanning a view graph."""
+        from repro.rdf import Triple, typed_literal
+        from repro.views.maintenance import GroupIndex
+        graph = parse_turtle(
+            "@prefix ex: <http://example.org/> .\n"
+            "ex:obs1 ex:ofCountry ex:fr ; ex:year 2019 ; ex:population 7 .\n"
+            "ex:fr ex:language ex:french .\n"
+            "ex:de ex:language ex:german .\n")
+        shadow = graph.copy()
+        catalog = ViewCatalog(Dataset.wrap(graph))
+        rebuild = ViewCatalog(Dataset.wrap(shadow))
+        lattice = ViewLattice(population_facet)
+        catalog.materialize_all(lattice)
+        rebuild.materialize_all(lattice)
+        maintainer = ViewMaintainer(catalog, max_delta_fraction=1.0)
+
+        first = [Triple(EX.obs2, EX.ofCountry, EX.de),
+                 Triple(EX.obs2, EX.year, typed_literal(2019)),
+                 Triple(EX.obs2, EX.population, typed_literal(5))]
+        graph.update(first)
+        shadow.update(first)
+        report = maintainer.synchronize(force_rebuild=True)
+        assert len(report.rebuilt) == len(lattice)
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("view graph re-scanned")
+
+        monkeypatch.setattr(GroupIndex, "from_graph", no_scan)
+        second = [Triple(EX.obs3, EX.ofCountry, EX.fr),
+                  Triple(EX.obs3, EX.year, typed_literal(2020)),
+                  Triple(EX.obs3, EX.population, typed_literal(11))]
+        graph.update(second)
+        shadow.update(second)
+        report = maintainer.synchronize()
+        assert len(report.patched) == len(lattice)
+        assert not report.rebuilt
+        rebuild.refresh_stale()
+        for view in lattice:
             assert group_signatures(catalog.graph_of(view)) == \
                 group_signatures(rebuild.graph_of(view)), view.label
 

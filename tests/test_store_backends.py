@@ -6,7 +6,7 @@ behave identically on the nested-hash and sorted-column layouts.  These
 tests drive *twin graphs* — one per backend, sharing a term dictionary so
 ids coincide — through randomized mutation interleavings and assert the
 observable state never diverges; the columnar bulk kernels are checked
-against brute-force scans, including with numpy disabled.
+against brute-force scans.
 """
 
 from __future__ import annotations
@@ -118,10 +118,10 @@ class TestTwinInterleaving:
 class TestColumnarKernels:
     """Bulk kernels and access paths vs brute force over the triple set."""
 
-    @pytest.fixture(params=[True, False], ids=["numpy", "pure-python"])
-    def store(self, request):
+    @pytest.fixture
+    def store(self):
         rng = random.Random(11)
-        s = ColumnarStore(use_numpy=request.param)
+        s = ColumnarStore()
         triples = {(rng.randrange(40), rng.randrange(6), rng.randrange(50))
                    for _ in range(300)}
         s.insert_many(sorted(triples))
@@ -170,15 +170,13 @@ class TestColumnarKernels:
 
 
 class TestBulkKernels:
-    """The vectorized kernel API (numpy only) vs brute force."""
+    """The vectorized kernel API vs brute force."""
 
     @pytest.fixture
     def store(self):
-        np = pytest.importorskip("numpy")
+        import numpy as np
         rng = random.Random(17)
         s = ColumnarStore()
-        if not s.vectorized:
-            pytest.skip("numpy-backed store unavailable")
         triples = {(rng.randrange(30), rng.randrange(5), rng.randrange(40))
                    for _ in range(400)}
         s.insert_many(sorted(triples))

@@ -8,8 +8,9 @@ from repro.cube import AnalyticalFacet, AnalyticalQuery, FilterCondition, \
 from repro.rdf import Dataset, Graph, Namespace, Variable, typed_literal
 from repro.rdf.namespace import SOFOS
 from repro.sparql import QueryEngine
+from repro.sparql.grouptable import KIND_BY_AGGREGATE
 from repro.views import ViewCatalog, ViewRouter, can_answer, \
-    dimension_predicate, materialize_view, rewrite_on_view
+    dimension_predicate, materialize_view_from_table, rewrite_on_view
 
 from tests.conftest import build_population_graph
 
@@ -64,10 +65,14 @@ class TestMaterializer:
         dataset, catalog, lattice = setup
         view = lattice.apex
         engine = QueryEngine(dataset.default)
+        table = engine.executor.group_table(
+            engine.prepare(population_facet.binding_query()).plan,
+            view.variables, population_facet.operand_variable,
+            KIND_BY_AGGREGATE[population_facet.aggregate.name])
         target = dataset.graph(view.iri)
-        materialize_view(view, engine, target)
+        materialize_view_from_table(view, engine, target, table)
         with pytest.raises(ViewError):
-            materialize_view(view, engine, target)
+            materialize_view_from_table(view, engine, target, table)
 
     def test_stats_match_profiler_prediction(self, setup, population_facet):
         from repro.cost import LatticeProfile
@@ -87,6 +92,13 @@ class TestCatalog:
         catalog.materialize(lattice.apex)
         with pytest.raises(ViewError):
             catalog.materialize(lattice.apex)
+
+    def test_engine_with_foreign_dictionary_rejected(self, setup):
+        dataset, catalog, lattice = setup
+        foreign = QueryEngine(build_population_graph())
+        assert foreign.graph.dictionary is not dataset.dictionary
+        with pytest.raises(ViewError):
+            ViewCatalog(dataset, foreign)
 
     def test_drop_removes_graph_and_entry(self, setup):
         dataset, catalog, lattice = setup
