@@ -245,13 +245,14 @@ class Sofos:
         from ..obs.explain import RoutedExplain
 
         if isinstance(query, str):
-            from ..sparql.parser import parse_query
             from ..views.analyzer import analyze_query
-            ast = parse_query(query)
+            engine = self._offline.engine
+            prepared = engine.prepare(query)
+            ast = prepared.ast
             analytical = analyze_query(ast, self._facet) \
                 if self._online is not None else None
             if analytical is None:
-                plan = self._offline.engine.explain(ast)
+                plan = engine.explain(prepared)
                 return RoutedExplain(
                     query=ast.text or "<sparql>", route="base",
                     why="query does not target the facet"
@@ -292,19 +293,20 @@ class Sofos:
         The query is recognized via :func:`repro.views.analyzer.analyze_query`;
         on a match it is answered from the best materialized view (with the
         measure column renamed back to the query's own alias), otherwise it
-        executes directly on the base graph.
+        executes directly on the base graph.  The text is compiled through
+        the base engine's prepared-query memo, so repeated texts skip the
+        parse (the shared AST is only read).
         """
         from ..sparql.ast import AggregateExpr
-        from ..sparql.parser import parse_query
         from ..views.analyzer import analyze_query
         from .metrics import QueryOutcome
 
-        ast = parse_query(query_text)
+        engine = self._offline.engine
+        prepared = engine.prepare(query_text)
+        ast = prepared.ast
         analytical = analyze_query(ast, self._facet) \
             if self._online is not None else None
         if analytical is None:
-            engine = self._offline.engine
-            prepared = engine.prepare(ast)
             table, seconds = engine.timed_query(prepared)
             outcome = QueryOutcome(query=analytical, rows=len(table),
                                    seconds=seconds, view_label=None)

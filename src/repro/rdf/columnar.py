@@ -133,10 +133,11 @@ class ColumnarStore(TripleStore):
 
     # -- mutation -----------------------------------------------------------
 
-    def insert_many(self, id_triples: Iterable[tuple]) -> list:
+    def insert_many(self, id_triples: Iterable[tuple],
+                    changes: Optional[list] = None) -> int:
         adds, dels = self._adds, self._dels
         pred_counts = self._pred_counts
-        added: list = []
+        added = 0
         for sid, pid, oid in id_triples:
             if not (0 <= sid < ID_LIMIT and 0 <= pid < ID_LIMIT
                     and 0 <= oid < ID_LIMIT):
@@ -150,16 +151,19 @@ class ColumnarStore(TripleStore):
             else:
                 adds.add(t)
             pred_counts[pid] = pred_counts.get(pid, 0) + 1
-            added.append(t)
-        self._size += len(added)
+            added += 1
+            if changes is not None:
+                changes.append(t)
+        self._size += added
         if len(adds) + len(dels) >= self._pending_limit:
             self._compact()
         return added
 
-    def delete_many(self, id_triples: Iterable[tuple]) -> list:
+    def delete_many(self, id_triples: Iterable[tuple],
+                    changes: Optional[list] = None) -> int:
         adds, dels = self._adds, self._dels
         pred_counts = self._pred_counts
-        removed: list = []
+        removed = 0
         for sid, pid, oid in id_triples:
             t = (sid, pid, oid)
             if t in adds:
@@ -173,8 +177,10 @@ class ColumnarStore(TripleStore):
                 pred_counts[pid] = remaining
             else:
                 del pred_counts[pid]
-            removed.append(t)
-        self._size -= len(removed)
+            removed += 1
+            if changes is not None:
+                changes.append(t)
+        self._size -= removed
         if len(adds) + len(dels) >= self._pending_limit:
             self._compact()
         return removed

@@ -73,8 +73,7 @@ class Graph:
         # collected).  Copies start with no subscribers of their own.
         self._logs: list[weakref.ref] = []
         if triples is not None:
-            for t in triples:
-                self.add(t)
+            self.update(triples)
 
     # -- basic protocol ----------------------------------------------------
 
@@ -134,22 +133,27 @@ class Graph:
         anything actually changed, and pushes per-triple records to live
         change logs.  Routing *all* writes through here is what keeps
         the two storage backends from drifting on version-bump /
-        changelog-push semantics.
+        changelog-push semantics.  The store lists the changed triples
+        only while a log listens; otherwise it just counts them.
         """
         store = self._store
-        added = store.insert_many(inserts) if inserts is not None else ()
-        removed = store.delete_many(deletes) if deletes is not None else ()
+        added_ids = [] if self._logs else None
+        removed_ids = [] if self._logs else None
+        added = store.insert_many(inserts, added_ids) \
+            if inserts is not None else 0
+        removed = store.delete_many(deletes, removed_ids) \
+            if deletes is not None else 0
         if not added and not removed:
             return 0, 0
         self._version += 1
-        if self._logs:
+        if added_ids is not None:
             for log in self._live_logs():
                 record = log._record
-                for sid, pid, oid in added:
+                for sid, pid, oid in added_ids:
                     record(sid, pid, oid, 1)
-                for sid, pid, oid in removed:
+                for sid, pid, oid in removed_ids:
                     record(sid, pid, oid, -1)
-        return len(added), len(removed)
+        return added, removed
 
     def add(self, triple: Triple) -> bool:
         """Add a triple; returns True when it was not already present."""
@@ -276,16 +280,15 @@ class Graph:
         Same-dictionary copies are O(store): the backend clones its own
         index structures (array slices on columnar, dict rebuilds on
         dict) instead of re-inserting triple-at-a-time.  Re-encoding
-        against a different ``dictionary`` falls back to per-triple
-        decode/re-add on a fresh store of the same kind.
+        against a different ``dictionary`` decodes every triple and
+        bulk-inserts it into a fresh store of the same kind.
         """
         if dictionary is None or dictionary is self._dict:
             clone = Graph(self._dict, store=self._store.copy())
             clone._version = 1 if len(clone._store) else 0
             return clone
         clone = Graph(dictionary, store=self._store.kind)
-        for t in self.triples():
-            clone.add(t)
+        clone.update(self.triples())
         return clone
 
     # -- id-level access (used by the SPARQL executor) -----------------------

@@ -3,52 +3,34 @@
 Same line grammar as N-Triples with an optional fourth position naming the
 graph.  This is how an expanded dataset — base graph plus materialized
 view graphs — round-trips to disk in one file.
+
+Parsing runs the bulk, memoized :class:`~repro.rdf.ntriples.BulkParser`:
+each target graph receives its triples in one ``add_ids_bulk`` (one
+version bump per graph), and a parse that raises adds nothing — no
+triples, no terms, no named graphs.  Serialization renders each distinct
+term once per call.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
-from ..errors import ParseError
 from .dataset import Dataset
-from .ntriples import _parse_term
-from .terms import IRI
-from .triples import Quad, Triple
+from .ntriples import BulkParser, N3Memo
 
-__all__ = ["parse_nquads", "serialize_nquads", "serialize_graph_lines",
-           "iter_nquads"]
+__all__ = ["parse_nquads", "serialize_nquads", "serialize_graph_lines"]
 
 
-def iter_nquads(lines: Iterable[str]) -> Iterator[Quad]:
-    """Parse an iterable of N-Quads lines into quads."""
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        s, pos = _parse_term(line, 0, line_no)
-        p, pos = _parse_term(line, pos, line_no)
-        o, pos = _parse_term(line, pos, line_no)
-        rest = line[pos:].strip()
-        graph: IRI | None = None
-        if rest != ".":
-            g, pos = _parse_term(line, pos, line_no)
-            if not isinstance(g, IRI):
-                raise ParseError("graph label must be an IRI", line_no)
-            graph = g
-            rest = line[pos:].strip()
-            if rest != ".":
-                raise ParseError(
-                    f"expected terminating '.', got {rest!r}", line_no)
-        Triple.validate(s, p, o)
-        yield Quad(s, p, o, graph)
+def parse_nquads(text: str, dataset: Dataset | None = None, *,
+                 skip_bad_lines: bool = False) -> Dataset:
+    """Parse an N-Quads document into a (new or given) dataset.
 
-
-def parse_nquads(text: str, dataset: Dataset | None = None) -> Dataset:
-    """Parse an N-Quads document into a (new or given) dataset."""
+    With ``skip_bad_lines`` a line that fails to parse or validate is
+    dropped and the rest still load — the recovery mode for a torn file.
+    """
     if dataset is None:
         dataset = Dataset()
-    for quad in iter_nquads(text.split("\n")):
-        dataset.add_quad(quad)
+    parser = BulkParser(dataset.dictionary, quads=True,
+                        skip_bad_lines=skip_bad_lines)
+    parser.feed(text.split("\n")).commit(dataset.default, dataset.graph)
     return dataset
 
 
@@ -58,17 +40,21 @@ def serialize_graph_lines(dataset: Dataset) -> dict[str, list[str]]:
     Keys are graph IRI values ("" for the default graph); named-graph
     lines carry their graph label, exactly as :func:`serialize_nquads`
     emits them.  The per-graph split is what lets the persistence layer
-    checksum each materialized view independently.
+    checksum each materialized view independently.  Empty graphs have no
+    key.
     """
+    n3 = N3Memo(dataset.dictionary)
+    parts = [("", dataset.default, " .")]
+    for name in dataset.names():
+        parts.append((name.value, dataset.get_graph(name),
+                      f" {name.n3()} ."))
     by_graph: dict[str, list[str]] = {}
-    for quad in dataset.quads():
-        parts = [quad.s.n3(), quad.p.n3(), quad.o.n3()]
-        if quad.graph is not None:
-            parts.append(quad.graph.n3())
-        key = quad.graph.value if quad.graph is not None else ""
-        by_graph.setdefault(key, []).append(" ".join(parts) + " .")
-    for lines in by_graph.values():
-        lines.sort()
+    for key, graph, tail in parts:
+        if len(graph):
+            lines = [f"{n3[s]} {n3[p]} {n3[o]}{tail}"
+                     for s, p, o in graph._iter_ids()]
+            lines.sort()
+            by_graph[key] = lines
     return by_graph
 
 

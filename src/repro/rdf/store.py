@@ -53,9 +53,11 @@ class TripleStore:
     :class:`~repro.rdf.graph.Graph`'s job, which is what keeps the two
     backends from drifting on mutation semantics.
 
-    ``insert_many``/``delete_many`` return the triples *actually*
-    inserted/removed (duplicates and absentees skipped), in application
-    order — the graph turns those into changelog records.
+    ``insert_many``/``delete_many`` return how many triples were
+    *actually* inserted/removed (duplicates and absentees skipped); given
+    a ``changes`` list they also append those triples to it, in
+    application order — the graph turns them into changelog records, and
+    asks for them only while a change log listens.
     """
 
     kind = "abstract"
@@ -66,10 +68,12 @@ class TripleStore:
 
     # -- mutation -----------------------------------------------------------
 
-    def insert_many(self, id_triples: Iterable[IdTriple]) -> list:
+    def insert_many(self, id_triples: Iterable[IdTriple],
+                    changes: Optional[list] = None) -> int:
         raise NotImplementedError
 
-    def delete_many(self, id_triples: Iterable[IdTriple]) -> list:
+    def delete_many(self, id_triples: Iterable[IdTriple],
+                    changes: Optional[list] = None) -> int:
         raise NotImplementedError
 
     def clear(self) -> None:
@@ -192,24 +196,28 @@ class DictStore(TripleStore):
 
     # -- mutation -----------------------------------------------------------
 
-    def insert_many(self, id_triples: Iterable[IdTriple]) -> list:
+    def insert_many(self, id_triples: Iterable[IdTriple],
+                    changes: Optional[list] = None) -> int:
         spo, pos, osp = self._spo, self._pos, self._osp
         pred_counts = self._pred_counts
-        added: list = []
+        added = 0
         for sid, pid, oid in id_triples:
             if not _index_add(spo, sid, pid, oid):
                 continue
             _index_add(pos, pid, oid, sid)
             _index_add(osp, oid, sid, pid)
             pred_counts[pid] = pred_counts.get(pid, 0) + 1
-            added.append((sid, pid, oid))
-        self._size += len(added)
+            added += 1
+            if changes is not None:
+                changes.append((sid, pid, oid))
+        self._size += added
         return added
 
-    def delete_many(self, id_triples: Iterable[IdTriple]) -> list:
+    def delete_many(self, id_triples: Iterable[IdTriple],
+                    changes: Optional[list] = None) -> int:
         spo, pos, osp = self._spo, self._pos, self._osp
         pred_counts = self._pred_counts
-        removed: list = []
+        removed = 0
         for sid, pid, oid in id_triples:
             if not _index_discard(spo, sid, pid, oid):
                 continue
@@ -220,8 +228,10 @@ class DictStore(TripleStore):
                 pred_counts[pid] = remaining
             else:
                 del pred_counts[pid]
-            removed.append((sid, pid, oid))
-        self._size -= len(removed)
+            removed += 1
+            if changes is not None:
+                changes.append((sid, pid, oid))
+        self._size -= removed
         return removed
 
     def clear(self) -> None:

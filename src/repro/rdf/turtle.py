@@ -7,6 +7,10 @@ language tags and datatyped literals, ``"..."`` and ``\"\"\"...\"\"\"`` strings,
 and comments.  Not supported (raises :class:`ParseError`): collections
 ``( ... )`` and anonymous blank nodes ``[ ... ]``.
 
+A parse inserts its triples in one bulk write once the whole document
+has parsed: the graph's version moves once, and a parse that raises adds
+nothing.
+
 The serializer writes subject-grouped Turtle with prefix abbreviation,
 which is what the console's "view node inspector" panel displays.
 """
@@ -76,6 +80,7 @@ class _TurtleParser:
         self._tokens = list(_tokenize(text))
         self._pos = 0
         self._graph = graph
+        self._triples: list[Triple] = []
         self._prefixes = default_prefixes()
         self._base = ""
 
@@ -98,6 +103,7 @@ class _TurtleParser:
         while True:
             tok = self._peek()
             if tok.kind == "eof":
+                self._graph.update(self._triples)
                 return self._graph
             if tok.kind == "keyword" and tok.value.lower() in (
                     "@prefix", "prefix", "@base", "base"):
@@ -152,7 +158,7 @@ class _TurtleParser:
             predicate = self._verb()
             while True:
                 obj = self._object()
-                self._graph.add(Triple.validate(subject, predicate, obj))
+                self._triples.append(Triple(subject, predicate, obj))
                 if self._peek() == ("punct", ",", self._peek().line) or (
                         self._peek().kind == "punct" and self._peek().value == ","):
                     self._next()

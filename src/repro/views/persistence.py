@@ -46,7 +46,7 @@ from ..obs import tracing as _tracing
 from ..resilience.failpoints import fail_at
 from ..rdf.dataset import Dataset
 from ..rdf.graph import Graph
-from ..rdf.nquads import iter_nquads, parse_nquads, serialize_graph_lines
+from ..rdf.nquads import parse_nquads, serialize_graph_lines
 from ..rdf.ntriples import parse_term
 from ..rdf.terms import typed_literal
 from ..cube.facet import AnalyticalFacet
@@ -251,23 +251,6 @@ def _save_expanded(catalog: ViewCatalog, directory: str) -> None:
                   "persistence.save.manifest_tmp")
 
 
-def _parse_dataset_lenient(text: str) -> Dataset:
-    """Parse N-Quads line by line, skipping unparseable lines.
-
-    The recovery path for a torn dataset file: whatever survives intact
-    is loaded (checksum verification then decides which graphs to
-    trust), the rest is dropped.
-    """
-    dataset = Dataset()
-    for line in text.split("\n"):
-        try:
-            for quad in iter_nquads([line]):
-                dataset.add_quad(quad)
-        except (ParseError, TermError):
-            continue
-    return dataset
-
-
 def load_expanded(directory: str, facet: AnalyticalFacet, *,
                   recover: bool = False) -> tuple[Dataset, ViewCatalog]:
     """Load a saved expanded dataset back for the given facet.
@@ -348,7 +331,10 @@ def _load_expanded(directory: str, facet: AnalyticalFacet, *,
             raise CatalogCorruptError(
                 f"corrupt dataset file {dataset_path}: {exc}",
                 path=dataset_path) from exc
-        dataset = _parse_dataset_lenient(dataset_text)
+        # The recovery path for a torn dataset file: whatever lines
+        # survive intact load (checksum verification then decides which
+        # graphs to trust), the rest are dropped.
+        dataset = parse_nquads(dataset_text, skip_bad_lines=True)
 
     # -- checksum verification (v3) -----------------------------------------
     mismatched: set[str] = set()

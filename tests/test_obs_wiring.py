@@ -24,6 +24,15 @@ SELECT ?year (SUM(?pop) AS ?total) WHERE {
 } GROUP BY ?year
 """
 
+# the population facet's pattern, grouped by year: routable to a view
+FACET_QUERY = """
+PREFIX ex: <http://example.org/>
+SELECT ?year (SUM(?pop) AS ?total) WHERE {
+  ?obs ex:ofCountry ?c ; ex:year ?year ; ex:population ?pop .
+  ?c ex:language ?lang .
+} GROUP BY ?year
+"""
+
 
 @pytest.fixture(autouse=True)
 def clean_hub():
@@ -81,6 +90,25 @@ class TestServingWiring:
         hist = m.get("online_query_seconds")
         assert hist.total_count() == 5
         assert m.counter_total("online_answers_total") == 5
+
+    @pytest.mark.parametrize("text, routed", [(FACET_QUERY, True),
+                                              (POP_QUERY, False)],
+                             ids=["view", "base"])
+    def test_answer_sparql_reuses_the_prepared_memo(
+            self, clean_hub, incremental_sofos, text, routed):
+        from repro.sparql import parse_query
+        incremental_sofos.select_and_materialize("agg_values", k=2)
+        clean_hub.enable(tracing=False)
+        first = incremental_sofos.answer_sparql(text)
+        second = incremental_sofos.answer_sparql(text)
+        m = clean_hub.metrics
+        assert m.counter_total("engine_prepared_cache_misses_total") == 1
+        assert m.counter_total("engine_prepared_cache_hits_total") == 1
+        assert (first.used_view is not None) == routed
+        assert second.table.same_solutions(first.table)
+        # answering never mutates the shared, memoized AST
+        engine = incremental_sofos._offline.engine
+        assert engine.prepare(text).ast == parse_query(text)
 
     def test_maintenance_window_counters(self, clean_hub, incremental_sofos):
         clean_hub.enable(tracing=False)
